@@ -336,7 +336,8 @@ func NewServer(cfg ServerConfig) *AuditServer { return server.New(cfg) }
 // OpenServer is NewServer with the crash-safety surface: when
 // ServerConfig.JournalDir is set, accepted uploads are journaled before
 // they are queued and OpenServer re-enqueues jobs interrupted by a crash
-// before taking new traffic. The error is journal directory creation.
+// before taking new traffic. It fails when the journal directory cannot
+// be created or read, or still holds an older build's journal layout.
 func OpenServer(cfg ServerConfig) (*AuditServer, error) { return server.Open(cfg) }
 
 // TransientError marks an error as retryable under the server's

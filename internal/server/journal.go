@@ -3,48 +3,52 @@
 //
 // With Config.JournalDir set, handleSubmit stages uploads under
 // <JournalDir>/staging and, before the job is queued, records it in the
-// journal. Submit records go through a leader/follower group commit:
-// every submitter queues its record, and the first one to take the
-// leader token drains the queue — closing the batch as soon as the
-// queue empties or the Config.JournalBatch window (default 2ms)
-// elapses, whichever comes first — and lands the whole batch in one
-// batch-<seq>.batch file with a single temp+fsync+rename+dirsync
-// instead of four syscalls per record. Submitters whose record was
-// taken by a leader block until that batch's sync completes, so the
-// 202 a client sees is still a durability promise: an isolated submit
-// leads its own batch of one with no goroutine handoff at all, and a
+// journal. The journal has one on-disk format, the segment: a
+// seg-<seq>.jsonl file holding one JSON line per submit record, landed
+// by one group commit. Commits run leader/follower: every submitter
+// queues its record, and the first one to take the leader token drains
+// the queue — closing the batch as soon as the queue empties or
+// journalBatchWindow elapses, whichever comes first — and writes the
+// whole batch as one segment with a single temp+fsync+rename+dirsync
+// instead of four syscalls per record. Submitters whose record was taken
+// by a leader block until that segment's sync completes, so the 202 a
+// client sees is still a durability promise: an isolated submit leads
+// its own batch of one with no goroutine handoff at all, and a
 // concurrent burst piles up behind the current leader's fsync and
 // shares the next. There is no dedicated committer goroutine — on
 // small-core machines the two scheduler handoffs one would cost per
 // submit are worth more than the fsync it saves.
 //
-// State transitions after submit rewrite the job's own <id>.job record
-// synchronously (same temp+fsync+rename discipline — they are rare and
-// off the submit hot path); at recovery a per-job record supersedes the
-// job's batch entry. Reaching a safe terminal state (snapshot
-// persisted, or a deterministic failure/timeout) deletes the per-job
-// record and tombstones the job's batch entry: one line appended to the
-// batch's .rm sidecar, not a rewrite of the batch file — completions
-// overlap submit storms, and rewriting a batch file per completion costs
-// the storm several ms of 202 tail on one core.
+// A record is never rewritten. Recovery re-runs every live record as a
+// queued job whatever state it had reached, so later states have nothing
+// to persist. A job that reaches a state recovery must not replay
+// (snapshot persisted, or a deterministic failure/timeout) appends one
+// tombstone line to its own segment — a single unsynced O_APPEND write,
+// because completions overlap submit storms on the same core — and the
+// segment is unlinked once its last member is tombstoned. Losing a
+// tombstone in a crash only re-runs an idempotent, already-persisted
+// job.
 //
-// On the next Open over the same directory, the journal is rescanned:
-// every surviving record — batch entry or per-job file — is an
-// interrupted job and is re-enqueued from its staged files, so a
-// kill -9 between upload and snapshot loses nothing. Recovery rewrites
-// each re-runnable batch entry as a per-job record and deletes the
-// batch files, so batch state never outlives one crash. Staging files
-// no record references (the upload crashed mid-stage, or its record was
-// corrupt) and .tmp-* leftovers from interrupted writes are deleted, so
-// crashes cannot leak disk forever.
+// On the next Open over the same directory, recovery is one scan: each
+// segment folds to its records minus its tombstones (torn or unparseable
+// lines are skipped); the survivors are re-queued and keep their segment
+// membership, so ordinary completion tombstones them; survivors whose
+// staged files are gone come back failed and are tombstoned; segments
+// with nothing left alive are unlinked; and the commit sequence
+// continues past the highest segment found. Staging files no live record
+// references (the upload crashed mid-stage, or its record was lost) and
+// .tmp-* leftovers from interrupted commits are deleted, so crashes
+// cannot leak disk forever.
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -57,10 +61,11 @@ import (
 // a future format instead of misinterpreting them.
 const journalVersion = 1
 
-// defaultJournalBatch is the group-commit window when Config.JournalBatch
-// is zero: long enough to absorb a concurrent burst, short enough to be
-// invisible next to the fsync it amortizes.
-const defaultJournalBatch = 2 * time.Millisecond
+// journalBatchWindow is the group-commit gather window: long enough to
+// absorb a concurrent burst, short enough to be invisible next to the
+// fsync it amortizes. A lone submit never waits it out — its batch
+// commits the moment the queue drains.
+const journalBatchWindow = 2 * time.Millisecond
 
 // journalRecord is one job's durable form. Personas are recorded by name,
 // not ID: registry IDs depend on registration order, which a restarted
@@ -69,7 +74,6 @@ type journalRecord struct {
 	Version     int             `json:"version"`
 	ID          string          `json:"id"`
 	Service     string          `json:"service"`
-	State       JobState        `json:"state"`
 	SubmittedAt time.Time       `json:"submitted_at"`
 	Keylog      string          `json:"keylog,omitempty"`
 	Uploads     []journalUpload `json:"uploads"`
@@ -82,11 +86,12 @@ type journalUpload struct {
 	Persona string `json:"persona"`
 }
 
-// journalBatch is the on-disk form of one group commit: every record the
-// committer gathered for one sync, in one file.
-type journalBatch struct {
-	Version int             `json:"version"`
-	Records []journalRecord `json:"records"`
+// journalLine is one line of a segment as read back: a submit record, or
+// — with only Removed set — the tombstone of a record in the same
+// segment.
+type journalLine struct {
+	journalRecord
+	Removed string `json:"removed,omitempty"`
 }
 
 // commitReq is one submit record waiting for its batch to sync. The
@@ -99,8 +104,7 @@ type commitReq struct {
 
 // journal persists job records under one directory.
 type journal struct {
-	dir    string
-	window time.Duration // group-commit gather window
+	dir string
 
 	// pending queues submit records for the next batch; leaderTok is a
 	// one-slot token channel — whoever holds the token is the leader
@@ -108,30 +112,25 @@ type journal struct {
 	pending   chan commitReq
 	leaderTok chan struct{}
 
-	// Batch membership: which live batch file holds which job's submit
-	// record, so remove can tombstone it and know when a batch has fully
+	// Segment membership: which live segment holds which job's record,
+	// so remove can tombstone it and know when a segment has fully
 	// emptied. Guarded by mu; the maps only ever describe files that are
 	// already durable. mu is on the commit hot path, so it only ever
-	// covers map work — remove's sidecar append happens with it free.
-	mu      sync.Mutex
-	seq     uint64
-	batches map[uint64]map[string]struct{}
-	batchOf map[string]uint64
+	// covers map work — remove's tombstone append happens with it free.
+	mu        sync.Mutex
+	seq       uint64
+	segments  map[uint64]map[string]struct{}
+	segmentOf map[string]uint64
 }
 
 // openJournal creates (if needed) the journal and staging directories.
-// window <= 0 takes the default.
-func openJournal(dir string, window time.Duration) (*journal, error) {
-	if window <= 0 {
-		window = defaultJournalBatch
-	}
+func openJournal(dir string) (*journal, error) {
 	j := &journal{
 		dir:       dir,
-		window:    window,
 		pending:   make(chan commitReq, 64),
 		leaderTok: make(chan struct{}, 1),
-		batches:   make(map[uint64]map[string]struct{}),
-		batchOf:   make(map[string]uint64),
+		segments:  make(map[uint64]map[string]struct{}),
+		segmentOf: make(map[string]uint64),
 	}
 	j.leaderTok <- struct{}{}
 	for _, d := range []string{dir, j.staging()} {
@@ -147,28 +146,31 @@ func openJournal(dir string, window time.Duration) (*journal, error) {
 // exactly as long as the record does.
 func (j *journal) staging() string { return filepath.Join(j.dir, "staging") }
 
-// path returns the per-job record file for a job ID.
-func (j *journal) path(id string) string { return filepath.Join(j.dir, id+".job") }
-
-// batchPath returns the batch file for a commit sequence number.
-func (j *journal) batchPath(seq uint64) string {
-	return filepath.Join(j.dir, fmt.Sprintf("batch-%06d.batch", seq))
+// segmentPath returns the segment file for a commit sequence number.
+func (j *journal) segmentPath(seq uint64) string {
+	return filepath.Join(j.dir, fmt.Sprintf("seg-%06d.jsonl", seq))
 }
 
-// rmPath returns a batch's tombstone sidecar: one removed job ID per
-// line, appended as jobs from that batch reach terminal states.
-func (j *journal) rmPath(seq uint64) string {
-	return filepath.Join(j.dir, fmt.Sprintf("batch-%06d.rm", seq))
+// segmentSeq parses a segment file name back to its sequence number.
+func segmentSeq(name string) (uint64, bool) {
+	s, ok := strings.CutPrefix(name, "seg-")
+	if !ok {
+		return 0, false
+	}
+	if s, ok = strings.CutSuffix(s, ".jsonl"); !ok {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(s, 10, 64)
+	return seq, err == nil
 }
 
 // recordOf builds a job's journal record. The caller owns the job or
 // holds s.mu; uploads and keylog are immutable after submit.
-func recordOf(job *Job, state JobState) journalRecord {
+func recordOf(job *Job) journalRecord {
 	rec := journalRecord{
 		Version:     journalVersion,
 		ID:          job.ID,
 		Service:     job.Service,
-		State:       state,
 		SubmittedAt: job.SubmittedAt,
 		Keylog:      job.keylog,
 	}
@@ -179,9 +181,10 @@ func recordOf(job *Job, state JobState) journalRecord {
 }
 
 // append journals a submit record through the group commit and blocks
-// until the batch holding it is durable (or failed). This is what gates
-// handleSubmit's 202: the client's acknowledgment is its batch's fsync.
-// The "journal.write" injection point models the record write failing.
+// until the segment holding it is durable (or failed). This is what
+// gates handleSubmit's 202: the client's acknowledgment is its segment's
+// fsync. The "journal.write" injection point models the record write
+// failing.
 //
 // The commit itself runs leader/follower: the record is queued, then
 // the submitter either takes the leader token and commits everything
@@ -220,7 +223,7 @@ func (j *journal) append(rec journalRecord) error {
 // leader already drained everything.
 func (j *journal) commitPending() {
 	var batch []commitReq
-	deadline := time.Now().Add(j.window)
+	deadline := time.Now().Add(journalBatchWindow)
 gather:
 	for {
 		select {
@@ -242,30 +245,35 @@ gather:
 	}
 }
 
-// commitBatch lands one batch durably: every record in one batch file,
-// written with one temp write, one fsync, one rename, one directory
-// sync. Membership is registered before any waiter is released, so a job
-// that finishes immediately after its 202 can already find (and rewrite
-// away) its batch entry. The "journal.batch" injection point models the
-// whole batch failing (or stalling) before it reaches disk.
+// commitBatch lands one batch durably as a new segment: one JSON line
+// per record, written with one temp write, one fsync, one rename, one
+// directory sync. Membership is registered before any waiter is
+// released, so a job that finishes immediately after its 202 can already
+// find (and tombstone) its record. The "journal.batch" injection point
+// sits between the write and the fsync: it models the sync failing (or
+// stalling), after which the temp file is removed and no segment exists.
 func (j *journal) commitBatch(batch []commitReq) error {
-	if err := faults.Inject("journal.batch"); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
 	recs := make([]journalRecord, len(batch))
 	for i, req := range batch {
 		recs[i] = req.rec
 	}
 	sort.Slice(recs, func(a, b int) bool { return jobIDNum(recs[a].ID) < jobIDNum(recs[b].ID) })
-	data, err := json.Marshal(journalBatch{Version: journalVersion, Records: recs})
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+	var data []byte
+	for _, rec := range recs {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("journal: %w", err)
+		}
+		data = append(append(data, line...), '\n')
 	}
 	f, err := os.CreateTemp(j.dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	_, err = f.Write(data)
+	if err == nil {
+		err = faults.Inject("journal.batch")
+	}
 	if err == nil {
 		err = f.Sync()
 	}
@@ -280,7 +288,7 @@ func (j *journal) commitBatch(batch []commitReq) error {
 	j.seq++
 	seq := j.seq
 	j.mu.Unlock()
-	if err := os.Rename(f.Name(), j.batchPath(seq)); err != nil {
+	if err := os.Rename(f.Name(), j.segmentPath(seq)); err != nil {
 		os.Remove(f.Name())
 		return fmt.Errorf("journal: %w", err)
 	}
@@ -292,180 +300,114 @@ func (j *journal) commitBatch(batch []commitReq) error {
 	m := make(map[string]struct{}, len(recs))
 	for _, r := range recs {
 		m[r.ID] = struct{}{}
-		j.batchOf[r.ID] = seq
+		j.segmentOf[r.ID] = seq
 	}
-	j.batches[seq] = m
+	j.segments[seq] = m
 	j.mu.Unlock()
 	return nil
 }
 
-// write persists one record crash-safely and synchronously: temp file in
-// the journal directory, fsync, rename over the final name (atomic
-// replace — a state update must overwrite the previous record), then
-// directory sync. Post-submit state transitions use this path directly;
-// it is rare enough that batching it would buy nothing. The
-// "journal.write" injection point models the record write failing.
-func (j *journal) write(rec journalRecord) error {
-	if err := faults.Inject("journal.write"); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	f, err := os.CreateTemp(j.dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := os.Rename(f.Name(), j.path(rec.ID)); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("journal: %w", err)
-	}
-	if d, err := os.Open(j.dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// remove deletes a job's records — the job reached a state recovery must
-// not replay. The per-job file is unlinked; the job's batch entry (if
-// any) is tombstoned by appending its ID to the batch's .rm sidecar, and
-// once every member of a batch is tombstoned both files are unlinked.
-// The append is a single unsynced write — far cheaper than rewriting the
-// batch file, which matters because completions overlap submit storms on
-// the same core. Losing a tombstone in a crash only re-runs an
-// idempotent, already-persisted job, the same contract the fsync-less
-// batch rewrite had before it.
+// remove forgets a job — it reached a state recovery must not replay.
+// Its record is tombstoned by appending one line to its segment, and the
+// segment is unlinked instead once every member is gone. The append is
+// a single unsynced write: far cheaper than rewriting the segment, which
+// matters because completions overlap submit storms on the same core.
 func (j *journal) remove(id string) {
-	os.Remove(j.path(id))
 	j.mu.Lock()
-	seq, ok := j.batchOf[id]
+	seq, ok := j.segmentOf[id]
 	if !ok {
 		j.mu.Unlock()
 		return
 	}
-	delete(j.batchOf, id)
-	members := j.batches[seq]
+	delete(j.segmentOf, id)
+	members := j.segments[seq]
 	delete(members, id)
 	empty := len(members) == 0
 	if empty {
-		delete(j.batches, seq)
+		delete(j.segments, seq)
 	}
 	j.mu.Unlock()
 	if empty {
-		os.Remove(j.batchPath(seq))
-		os.Remove(j.rmPath(seq))
+		os.Remove(j.segmentPath(seq))
 		return
 	}
+	// No O_CREATE: if a racing remove just unlinked the segment, the open
+	// fails instead of recreating a file that holds only this tombstone.
 	// O_APPEND writes of short lines don't interleave, so concurrent
-	// removes from the same batch need no lock of their own.
-	f, err := os.OpenFile(j.rmPath(seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	// removes from the same segment need no lock of their own.
+	f, err := os.OpenFile(j.segmentPath(seq), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return
 	}
-	fmt.Fprintln(f, id)
+	fmt.Fprintf(f, "{\"removed\":%q}\n", id)
 	f.Close()
 }
 
-// recoverJobs rescans the journal after a restart. Every surviving record
-// — batch entry or per-job file, with the per-job file superseding the
-// job's batch entry when both exist — becomes a Job: re-runnable ones
-// (staged files present, personas registered) come back queued;
-// unrecoverable ones come back failed with a diagnostic, so the
-// interruption is visible rather than silent. Re-runnable batch entries
-// are rewritten as per-job records and every batch file — with its
-// tombstone sidecar — is then deleted: batch state never carries across
-// more than one crash. As it scans it
-// garbage-collects crash leftovers — .tmp-* files from interrupted
-// writes, corrupt records, and staging files no surviving record
-// references.
-func (j *journal) recoverJobs() []*Job {
+// recoverJobs rescans the journal after a restart. Every live record
+// becomes a Job: re-runnable ones (staged files present, personas
+// registered) come back queued; unrecoverable ones come back failed with
+// a diagnostic, so the interruption is visible rather than silent, and
+// are tombstoned. As it scans it garbage-collects crash leftovers —
+// .tmp-* files from interrupted commits, segments with no live record,
+// and staging files no live record references. A directory still
+// holding the pre-segment layout is an error: its files are acknowledged
+// jobs this build cannot read, so it must not sweep their staging.
+func (j *journal) recoverJobs() ([]*Job, error) {
 	entries, err := os.ReadDir(j.dir)
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("journal: %w", err)
 	}
-	// Pass 1: collect records. Batch entries first, then per-job files on
-	// top — a per-job record is always the newer state.
-	recs := map[string]journalRecord{}
-	fromBatch := map[string]bool{}
-	var batchFiles []string
+	var legacy []string
+	for _, e := range entries {
+		switch filepath.Ext(e.Name()) {
+		case ".job", ".batch", ".rm":
+			legacy = append(legacy, e.Name())
+		}
+	}
+	if len(legacy) > 0 {
+		return nil, fmt.Errorf("journal: %s holds files from the pre-segment journal layout (%s); drain it with the previous build — restart that build over this directory and let every job settle — before upgrading",
+			j.dir, strings.Join(legacy, ", "))
+	}
+
+	// Pass 1: fold each segment to its live records and rebuild the
+	// membership that completion tombstones against.
+	var recs []journalRecord
 	for _, e := range entries {
 		name := e.Name()
+		path := filepath.Join(j.dir, name)
 		if strings.HasPrefix(name, ".tmp-") {
-			os.Remove(filepath.Join(j.dir, name))
-			continue
-		}
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasSuffix(name, ".rm") {
-			// Tombstone sidecars die with their batch files; one orphaned
-			// by a remove/unlink race is swept here too.
-			batchFiles = append(batchFiles, filepath.Join(j.dir, name))
-			continue
-		}
-		if !strings.HasSuffix(name, ".batch") {
-			continue
-		}
-		path := filepath.Join(j.dir, name)
-		batchFiles = append(batchFiles, path)
-		var b journalBatch
-		data, err := os.ReadFile(path)
-		if err == nil {
-			err = json.Unmarshal(data, &b)
-		}
-		if err != nil || b.Version > journalVersion {
-			continue // deleted with the other batch files below
-		}
-		// The .rm sidecar lists batch members that reached a terminal
-		// state before the crash: their entries must not resurrect. A
-		// torn final line just fails to match an ID, which re-runs one
-		// idempotent job — same contract as losing the append entirely.
-		removed := map[string]bool{}
-		if data, err := os.ReadFile(strings.TrimSuffix(path, ".batch") + ".rm"); err == nil {
-			for _, id := range strings.Fields(string(data)) {
-				removed[id] = true
-			}
-		}
-		for _, rec := range b.Records {
-			if rec.ID == "" || rec.Version > journalVersion || removed[rec.ID] {
-				continue
-			}
-			recs[rec.ID] = rec
-			fromBatch[rec.ID] = true
-		}
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".job") {
-			continue
-		}
-		path := filepath.Join(j.dir, name)
-		var rec journalRecord
-		data, err := os.ReadFile(path)
-		if err == nil {
-			err = json.Unmarshal(data, &rec)
-		}
-		if err != nil || rec.ID == "" || rec.Version > journalVersion {
-			// Unreadable or from a future build: drop the record; its
-			// staging files fall out as unreferenced orphans below.
 			os.Remove(path)
 			continue
 		}
-		recs[rec.ID] = rec
-		fromBatch[rec.ID] = false
+		seq, ok := segmentSeq(name)
+		if e.IsDir() || !ok {
+			continue
+		}
+		j.seq = max(j.seq, seq)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("journal: %w", err)
+		}
+		live := foldSegment(data)
+		if len(live) == 0 {
+			os.Remove(path) // empty, fully tombstoned or corrupt
+			continue
+		}
+		if data[len(data)-1] != '\n' {
+			// A torn tombstone tail: end it so the next tombstone starts
+			// on a line of its own instead of being glued to the wreck.
+			if f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0); err == nil {
+				f.Write([]byte{'\n'})
+				f.Close()
+			}
+		}
+		m := make(map[string]struct{}, len(live))
+		for _, rec := range live {
+			m[rec.ID] = struct{}{}
+			j.segmentOf[rec.ID] = seq
+		}
+		j.segments[seq] = m
+		recs = append(recs, live...)
 	}
 
 	// Pass 2: rebuild jobs.
@@ -507,7 +449,7 @@ func (j *journal) recoverJobs() []*Job {
 			job.Error = "crash recovery: " + broken
 			job.FinishedAt = time.Now().UTC()
 			job.cleanup()
-			os.Remove(j.path(rec.ID))
+			j.remove(rec.ID)
 		} else {
 			for _, up := range job.uploads {
 				referenced[up.path] = true
@@ -515,21 +457,11 @@ func (j *journal) recoverJobs() []*Job {
 			if job.keylog != "" {
 				referenced[job.keylog] = true
 			}
-			if fromBatch[rec.ID] {
-				// Promote the batch entry to a per-job record before its
-				// batch file goes away: if this process also crashes, the
-				// job must still be on disk.
-				rec.State = JobQueued
-				j.write(rec)
-			}
 		}
 		jobs = append(jobs, job)
 	}
-	for _, path := range batchFiles {
-		os.Remove(path)
-	}
 	// Staging orphans: uploads whose submit crashed before the journal
-	// record landed (or whose record was corrupt) accumulate forever
+	// record landed (or whose record was lost) accumulate forever
 	// without this sweep.
 	if stray, err := os.ReadDir(j.staging()); err == nil {
 		for _, e := range stray {
@@ -542,7 +474,34 @@ func (j *journal) recoverJobs() []*Job {
 	// Deterministic re-enqueue order: job IDs are "job-<n>", so numeric
 	// order is submission order.
 	sort.Slice(jobs, func(a, b int) bool { return jobIDNum(jobs[a].ID) < jobIDNum(jobs[b].ID) })
-	return jobs
+	return jobs, nil
+}
+
+// foldSegment returns a segment's records minus its tombstones. Torn or
+// unparseable lines, records without an ID and records from a future
+// format are skipped.
+func foldSegment(data []byte) []journalRecord {
+	var recs []journalRecord
+	removed := map[string]bool{}
+	for _, raw := range bytes.Split(data, []byte{'\n'}) {
+		var line journalLine
+		if len(raw) == 0 || json.Unmarshal(raw, &line) != nil {
+			continue
+		}
+		switch {
+		case line.Removed != "":
+			removed[line.Removed] = true
+		case line.ID != "" && line.Version <= journalVersion:
+			recs = append(recs, line.journalRecord)
+		}
+	}
+	live := recs[:0]
+	for _, rec := range recs {
+		if !removed[rec.ID] {
+			live = append(live, rec)
+		}
+	}
+	return live
 }
 
 // jobIDNum extracts the numeric suffix of a "job-<n>" ID (0 when foreign).

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -57,12 +58,64 @@ func healthSnapshot(t *testing.T, ts *httptest.Server) map[string]any {
 	return h
 }
 
+// segmentFiles lists a journal directory's segment files in commit order.
+func segmentFiles(t *testing.T, jdir string) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(jdir, "seg-*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(segs)
+	return segs
+}
+
+// checkJournalLayout asserts the journal directory holds nothing but
+// segments, staging/ and transient .tmp-* files.
+func checkJournalLayout(t *testing.T, jdir string) {
+	t.Helper()
+	entries, err := os.ReadDir(jdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if _, seg := segmentSeq(name); seg || strings.HasPrefix(name, ".tmp-") || (e.IsDir() && name == "staging") {
+			continue
+		}
+		t.Errorf("journal directory holds %q: not a segment, staging/ or .tmp-* file", name)
+	}
+}
+
+// waitJournalDrained waits until every job has settled out of the
+// journal: no segment left and nothing staged. Completion tombstones a
+// job and releases its staging just after the job turns done, so the
+// check polls.
+func waitJournalDrained(t *testing.T, jdir string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		checkJournalLayout(t, jdir)
+		segs := segmentFiles(t, jdir)
+		staged, err := os.ReadDir(filepath.Join(jdir, "staging"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) == 0 && len(staged) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("journal not drained after every job settled: segments %v, %d staged files", segs, len(staged))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestJournalCrashRecoveryMatrix is the acceptance matrix for the
 // journal: a server is abandoned (never Closed — the in-process stand-in
-// for kill -9) at three points in a job's life, a fresh server is opened
-// over the same journal and store directories, and in every case the
-// interrupted job re-runs to done with a report byte-identical to an
-// uninterrupted server's.
+// for kill -9) at several points in a job's life, a fresh server is
+// opened over the same journal and store directories, and in every case
+// the interrupted job re-runs to done with a report byte-identical to an
+// uninterrupted server's, after which the journal holds no segment.
 func TestJournalCrashRecoveryMatrix(t *testing.T) {
 	harData := string(childHAR(t))
 	parts := map[string][2]string{
@@ -82,6 +135,7 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 	_, want := getBody(t, baseTS, "/jobs/"+job.ID+"/report.json")
 	baseTS.Close()
 	baseSrv.Close()
+	waitJournalDrained(t, filepath.Join(baseDir, "journal"))
 
 	// submit stages parts and requires 202 without waiting.
 	accept := func(t *testing.T, ts *httptest.Server) Job {
@@ -91,6 +145,17 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 			t.Fatalf("submit: %d", resp.StatusCode)
 		}
 		return decodeJob(t, resp)
+	}
+
+	// crashedSegments asserts a crash left its acknowledged records in
+	// segments and nothing but the one journal format.
+	crashedSegments := func(t *testing.T, dir string) {
+		t.Helper()
+		jdir := filepath.Join(dir, "journal")
+		checkJournalLayout(t, jdir)
+		if len(segmentFiles(t, jdir)) == 0 {
+			t.Fatal("no segment survived the crash — the 202s were not backed by a group commit")
+		}
 	}
 
 	// recover opens a healthy server over the crashed one's directories
@@ -121,21 +186,12 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 				t.Fatalf("recovered %s report differs from the uninterrupted baseline", id)
 			}
 		}
-		// All recovered jobs settled: the journal must be empty again and
-		// healthz back to non-degraded.
+		// All recovered jobs settled: healthz is back to non-degraded and
+		// the journal is empty again.
 		if h := healthSnapshot(t, ts); h["degraded"] != false {
 			t.Fatalf("healthz after recovery = %v", h)
 		}
-		left, _ := filepath.Glob(filepath.Join(dir, "journal", "*.job"))
-		if len(left) != 0 {
-			t.Fatalf("journal records left after recovery: %v", left)
-		}
-		// Batch files never outlive one recovery: surviving entries were
-		// promoted to per-job records (and have since settled away).
-		batches, _ := filepath.Glob(filepath.Join(dir, "journal", "*.batch"))
-		if len(batches) != 0 {
-			t.Fatalf("batch files left after recovery: %v", batches)
-		}
+		waitJournalDrained(t, filepath.Join(dir, "journal"))
 	}
 
 	t.Run("killed-with-job-queued-and-job-running", func(t *testing.T) {
@@ -156,12 +212,7 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 		j1 := accept(t, ts)
 		j2 := accept(t, ts)
 		ts.Close() // abandon crashed without Close: the "kill -9"
-		// The 202s were gated on group commits: the crashed server must
-		// have left durable batch files for the recovery to read.
-		batches, _ := filepath.Glob(filepath.Join(dir, "journal", "*.batch"))
-		if len(batches) == 0 {
-			t.Fatal("no batch files survived the crash — the 202s were not backed by a group commit")
-		}
+		crashedSegments(t, dir)
 		recoverAndCheck(t, dir, j1.ID, j2.ID)
 	})
 
@@ -180,8 +231,8 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 		})
 		ts := httptest.NewServer(crashed)
 		j1 := accept(t, ts)
-		// Wait until the worker is provably inside Put (job running and
-		// its journal record rewritten to running) before "killing" it.
+		// Wait until the worker is provably inside Put (job running, its
+		// record still untombstoned in its segment) before "killing" it.
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			if time.Now().After(deadline) {
@@ -201,13 +252,57 @@ func TestJournalCrashRecoveryMatrix(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond) // let the audit reach the stalled Put
 		ts.Close()
+		crashedSegments(t, dir)
+		recoverAndCheck(t, dir, j1.ID)
+	})
+
+	t.Run("killed-again-before-recovered-job-settles", func(t *testing.T) {
+		// The first restart dies too, with the recovered job wedged
+		// mid-audit. Recovery must not depend on writing anything: with
+		// every journal write failing during the first restart, the job's
+		// original segment is still what carries it through the second
+		// crash.
+		dir := t.TempDir()
+		st, err := store.OpenFSStore(filepath.Join(dir, "snapshots"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{
+			Workers:     1,
+			JournalDir:  filepath.Join(dir, "journal"),
+			Store:       st,
+			NewPipeline: stalledPipeline(make(chan struct{})),
+		}
+		ts := httptest.NewServer(New(cfg))
+		j1 := accept(t, ts)
+		ts.Close() // first crash
+		crashedSegments(t, dir)
+
+		defer faults.Reset()
+		faults.Set("journal.write", faults.Plan{Err: errors.New("journal volume detached"), Count: -1})
+		faults.Set("journal.batch", faults.Plan{Err: errors.New("journal volume detached"), Count: -1})
+		again, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for again.busy.Load() != 1 { // the recovered job is wedged mid-audit
+			if time.Now().After(deadline) {
+				t.Fatal("recovered job never started")
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		faults.Reset() // second crash: abandon again without Close
+		crashedSegments(t, dir)
 		recoverAndCheck(t, dir, j1.ID)
 	})
 }
 
 // TestJournalStartupGC: opening a server over a journal littered with
-// crash leftovers — interrupted record writes (.tmp-*), corrupt records,
-// and staging files no record references — deletes all of them.
+// crash leftovers — interrupted commits (.tmp-*), corrupt, empty and
+// fully tombstoned segments, and staging files no record references —
+// deletes all of them, and the commit sequence continues past the
+// highest segment found.
 func TestJournalStartupGC(t *testing.T) {
 	dir := t.TempDir()
 	jdir := filepath.Join(dir, "journal")
@@ -215,13 +310,24 @@ func TestJournalStartupGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	tmpLeft := filepath.Join(jdir, ".tmp-interrupted")
-	corrupt := filepath.Join(jdir, "job-9.job")
-	corruptBatch := filepath.Join(jdir, "batch-000009.batch")
+	corrupt := filepath.Join(jdir, "seg-000009.jsonl")
+	empty := filepath.Join(jdir, "seg-000004.jsonl")
+	settled := filepath.Join(jdir, "seg-000002.jsonl")
 	orphan := filepath.Join(jdir, "staging", "diffaudit-child-orphan")
-	for _, f := range []string{tmpLeft, corrupt, corruptBatch, orphan} {
+	for _, f := range []string{tmpLeft, corrupt, orphan} {
 		if err := os.WriteFile(f, []byte("{not json"), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := json.Marshal(journalRecord{Version: journalVersion, ID: "job-5", Service: "Quizlet"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(settled, append(rec, "\n{\"removed\":\"job-5\"}\n"...), 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	srv, err := Open(Config{JournalDir: jdir})
@@ -230,10 +336,98 @@ func TestJournalStartupGC(t *testing.T) {
 	}
 	defer srv.Close()
 
-	for _, f := range []string{tmpLeft, corrupt, corruptBatch, orphan} {
+	for _, f := range []string{tmpLeft, corrupt, empty, settled, orphan} {
 		if _, err := os.Stat(f); !os.IsNotExist(err) {
 			t.Errorf("%s survived startup GC (err=%v)", f, err)
 		}
+	}
+	if _, ok := srv.jobs["job-5"]; ok {
+		t.Error("tombstoned job-5 resurrected")
+	}
+	if srv.journal.seq != 9 {
+		t.Errorf("commit sequence after recovery = %d, want 9 (past the highest segment found)", srv.journal.seq)
+	}
+}
+
+// TestJournalRejectsLegacyLayout: a journal directory still holding the
+// pre-segment layout (per-job .job records, .batch group commits, .rm
+// tombstone sidecars) holds acknowledged jobs this build cannot read.
+// Open refuses it with an error naming the files and the way out, and
+// deletes nothing — not the records, and not the staged uploads they
+// reference.
+func TestJournalRejectsLegacyLayout(t *testing.T) {
+	jdir := filepath.Join(t.TempDir(), "journal")
+	if err := os.MkdirAll(filepath.Join(jdir, "staging"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	legacy := []string{"job-4.job", "batch-000002.batch", "batch-000002.rm"}
+	keep := []string{filepath.Join(jdir, "staging", "diffaudit-child-1.har"), filepath.Join(jdir, ".tmp-interrupted")}
+	for _, name := range legacy {
+		keep = append(keep, filepath.Join(jdir, name))
+	}
+	for _, f := range keep {
+		if err := os.WriteFile(f, []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv, err := Open(Config{JournalDir: jdir})
+	if err == nil {
+		srv.Close()
+		t.Fatal("Open accepted a journal in the pre-segment layout")
+	}
+	for _, want := range append(legacy, "previous build") {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	for _, f := range keep {
+		if _, err := os.Stat(f); err != nil {
+			t.Errorf("%s was touched by the refused Open: %v", f, err)
+		}
+	}
+}
+
+// TestJournalFailedCommitAcksNothing: when the group commit's fsync fails
+// permanently, the upload is rejected with a 5xx — never acknowledged —
+// and leaves nothing behind: no segment, no .tmp-* file, no staged
+// upload. A reopen over the directory resurrects no job.
+func TestJournalFailedCommitAcksNothing(t *testing.T) {
+	defer faults.Reset()
+	faults.Set("journal.batch", faults.Plan{Err: errors.New("fsync: input/output error"), Count: -1})
+
+	jdir := filepath.Join(t.TempDir(), "journal")
+	srv, err := Open(Config{Workers: 1, JournalDir: jdir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	resp := submit(t, ts, quizletParts(t))
+	resp.Body.Close()
+	if resp.StatusCode < 500 {
+		t.Fatalf("submit with a failing fsync = %d, want 5xx", resp.StatusCode)
+	}
+	if faults.Calls("journal.batch") == 0 {
+		t.Fatal("the commit never reached its fsync")
+	}
+	ts.Close()
+	waitJournalDrained(t, jdir)
+	if tmps, _ := filepath.Glob(filepath.Join(jdir, ".tmp-*")); len(tmps) != 0 {
+		t.Fatalf("failed commit left temp files: %v", tmps)
+	}
+	srv.Close()
+
+	faults.Reset()
+	again, err := Open(Config{Workers: 1, JournalDir: jdir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	again.mu.Lock()
+	n := len(again.jobs)
+	again.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("reopen resurrected %d jobs from a failed commit", n)
 	}
 }
 
@@ -243,7 +437,7 @@ func TestJournalStartupGC(t *testing.T) {
 // silent drop and not an endless crash-rerun loop.
 func TestJournalRecoveryMissingUpload(t *testing.T) {
 	jdir := filepath.Join(t.TempDir(), "journal")
-	j, err := openJournal(jdir, 0)
+	j, err := openJournal(jdir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +445,10 @@ func TestJournalRecoveryMissingUpload(t *testing.T) {
 		Version:     journalVersion,
 		ID:          "job-3",
 		Service:     "custom-service",
-		State:       JobQueued,
 		SubmittedAt: time.Now().UTC(),
 		Uploads:     []journalUpload{{Path: filepath.Join(jdir, "staging", "gone.har"), HAR: true, Persona: "child"}},
 	}
-	if err := j.write(rec); err != nil {
+	if err := j.append(rec); err != nil {
 		t.Fatal(err)
 	}
 
@@ -278,9 +471,10 @@ func TestJournalRecoveryMissingUpload(t *testing.T) {
 	if job.State != JobFailed || !strings.Contains(job.Error, "crash recovery") {
 		t.Fatalf("job = %+v, want failed with a crash-recovery diagnostic", job)
 	}
-	// The unrecoverable record must not survive to fail again next boot.
-	if _, err := os.Stat(j.path("job-3")); !os.IsNotExist(err) {
-		t.Fatalf("journal record for unrecoverable job survived (err=%v)", err)
+	// The unrecoverable record must not survive to fail again next boot:
+	// it was its segment's only member, so the segment is gone.
+	if segs := segmentFiles(t, jdir); len(segs) != 0 {
+		t.Fatalf("segment holding the unrecoverable job survived: %v", segs)
 	}
 	// healthz: a recovered-failed job settled immediately; not degraded.
 	if h := healthSnapshot(t, ts); h["degraded"] != false {
@@ -380,25 +574,37 @@ func TestJournalRecoveredIDsFenceNextID(t *testing.T) {
 	}
 }
 
+// readSegment returns a segment's lines, and its live records after
+// folding the tombstones away.
+func readSegment(t *testing.T, path string) (lines int, live []journalRecord) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Count(string(data), "\n"), foldSegment(data)
+}
+
 // TestJournalGroupCommitBurstAndRemove pins the group-commit mechanics at
 // the journal level: a burst of submits that piles up behind one stalled
-// commit lands in a single batch file (one staging pass, one sync for the
-// whole burst), and remove tombstones a finished job in the batch's .rm
-// sidecar — deleting batch file and sidecar once the last member is gone
-// — so recovery can never resurrect a settled job.
+// commit lands in a single segment (one staging pass, one sync for the
+// whole burst), and remove tombstones a finished job with one line
+// appended to its segment — unlinking the segment once the last member
+// is gone, and never recreating one a racing unlink removed — so
+// recovery can never resurrect a settled job.
 func TestJournalGroupCommitBurstAndRemove(t *testing.T) {
-	j, err := openJournal(filepath.Join(t.TempDir(), "journal"), 0)
+	j, err := openJournal(filepath.Join(t.TempDir(), "journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Stall the first commit: job-1 syncs alone while jobs 2-4 queue up
-	// behind it and must share the second batch.
+	// behind it and must share the second segment.
 	faults.Set("journal.batch", faults.Plan{Delay: 300 * time.Millisecond, Count: 1})
 	defer faults.Reset()
 
 	rec := func(n int) journalRecord {
-		return journalRecord{Version: journalVersion, ID: fmt.Sprintf("job-%d", n), Service: "Quizlet", State: JobQueued, SubmittedAt: time.Now().UTC()}
+		return journalRecord{Version: journalVersion, ID: fmt.Sprintf("job-%d", n), Service: "Quizlet", SubmittedAt: time.Now().UTC()}
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
@@ -421,60 +627,54 @@ func TestJournalGroupCommitBurstAndRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	readBatch := func(path string) []journalRecord {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b journalBatch
-		if err := json.Unmarshal(data, &b); err != nil {
-			t.Fatal(err)
-		}
-		return b.Records
+	segs := segmentFiles(t, j.dir)
+	if len(segs) != 2 {
+		t.Fatalf("4 appends (1 + burst of 3) produced %d segments, want 2: %v", len(segs), segs)
 	}
-	batches, _ := filepath.Glob(filepath.Join(j.dir, "batch-*.batch"))
-	if len(batches) != 2 {
-		t.Fatalf("4 appends (1 + burst of 3) produced %d batch files, want 2: %v", len(batches), batches)
+	if _, live := readSegment(t, segs[0]); len(live) != 1 {
+		t.Fatalf("first segment holds %d records, want 1", len(live))
 	}
-	sort.Strings(batches)
-	if got := len(readBatch(batches[0])); got != 1 {
-		t.Fatalf("first batch holds %d records, want 1", got)
+	if lines, live := readSegment(t, segs[1]); lines != 3 || len(live) != 3 {
+		t.Fatalf("burst segment holds %d lines / %d records, want all 3 in one sync", lines, len(live))
 	}
-	if got := len(readBatch(batches[1])); got != 3 {
-		t.Fatalf("burst batch holds %d records, want all 3 in one sync", got)
-	}
+	checkJournalLayout(t, j.dir)
 
-	// remove tombstones the member in the batch's .rm sidecar — the batch
-	// file itself is never rewritten on the completion path...
+	// remove appends one tombstone line to the member's segment — the
+	// records already in it are never rewritten...
 	j.remove("job-3")
-	if got := len(readBatch(batches[1])); got != 3 {
-		t.Fatalf("remove(job-3) rewrote the batch file (%d records), want it untouched with a tombstone instead", got)
+	lines, live := readSegment(t, segs[1])
+	if lines != 4 || len(live) != 2 {
+		t.Fatalf("after remove(job-3) the burst segment holds %d lines / %d live records, want 4 / 2", lines, len(live))
 	}
-	rmFile := strings.TrimSuffix(batches[1], ".batch") + ".rm"
-	data, err := os.ReadFile(rmFile)
-	if err != nil {
-		t.Fatalf("remove(job-3) left no tombstone sidecar: %v", err)
+	for _, r := range live {
+		if r.ID == "job-3" {
+			t.Fatal("tombstoned job-3 still folds as live")
+		}
 	}
-	if got := strings.Fields(string(data)); len(got) != 1 || got[0] != "job-3" {
-		t.Fatalf("tombstone sidecar holds %v, want [job-3]", got)
+	// ...never recreates a segment a racing last-member unlink removed...
+	if err := os.Remove(segs[1]); err != nil {
+		t.Fatal(err)
 	}
-	// ...and deletes batch file and sidecar with the last member.
 	j.remove("job-2")
+	if _, err := os.Stat(segs[1]); !os.IsNotExist(err) {
+		t.Fatalf("a tombstone recreated an unlinked segment (err=%v)", err)
+	}
+	// ...and unlinks each segment with its last member.
 	j.remove("job-4")
 	j.remove("job-1")
-	if leftovers, _ := filepath.Glob(filepath.Join(j.dir, "batch-*")); len(leftovers) != 0 {
-		t.Fatalf("batch files survive their last member: %v", leftovers)
+	if left := segmentFiles(t, j.dir); len(left) != 0 {
+		t.Fatalf("segments survive their last member: %v", left)
 	}
+	checkJournalLayout(t, j.dir)
 }
 
 // TestJournalCrashBetweenBatchStages pins the group commit's crash
 // contract at each stage boundary by recovering over the exact directory
 // state a kill at that point leaves behind. Before the rename, no client
 // saw a 202, so the records owe nothing and are garbage; after the
-// rename the batch is the durability promise and every record re-runs to
-// a byte-identical report; and a per-job record written after the batch
-// always supersedes the job's (staler) batch entry.
+// rename the segment is the durability promise and every record re-runs
+// to a byte-identical report; a tombstoned record stays dead; and a
+// torn tombstone tail does not swallow the next tombstone.
 func TestJournalCrashBetweenBatchStages(t *testing.T) {
 	harData := childHAR(t)
 	parts := map[string][2]string{
@@ -491,7 +691,7 @@ func TestJournalCrashBetweenBatchStages(t *testing.T) {
 	base.Close()
 
 	// stage writes a capture into the journal's staging dir and returns a
-	// queued submit record referencing it.
+	// submit record referencing it.
 	stage := func(t *testing.T, jdir, name, id string) journalRecord {
 		t.Helper()
 		staged := filepath.Join(jdir, "staging", name)
@@ -502,7 +702,6 @@ func TestJournalCrashBetweenBatchStages(t *testing.T) {
 			Version:     journalVersion,
 			ID:          id,
 			Service:     "Quizlet",
-			State:       JobQueued,
 			SubmittedAt: time.Now().UTC(),
 			Uploads:     []journalUpload{{Path: staged, HAR: true, Persona: "child"}},
 		}
@@ -515,25 +714,31 @@ func TestJournalCrashBetweenBatchStages(t *testing.T) {
 		}
 		return jdir
 	}
-	writeJSON := func(t *testing.T, path string, v any) {
+	// writeSegment writes records as JSON lines, then raw tail bytes
+	// (tombstones, or a torn line).
+	writeSegment := func(t *testing.T, path string, recs []journalRecord, tail string) {
 		t.Helper()
-		data, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
+		var data []byte
+		for _, rec := range recs {
+			line, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = append(append(data, line...), '\n')
 		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := os.WriteFile(path, append(data, tail...), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	t.Run("killed-before-rename", func(t *testing.T) {
-		// The batch died as a temp file: its submitters never got their
+		// The commit died as a temp file: its submitters never got their
 		// 202, so recovery must not resurrect the jobs — and must GC the
 		// temp file and the staged upload it references.
 		jdir := mkJournalDir(t)
 		rec := stage(t, jdir, "diffaudit-child-1.har", "job-1")
 		tmp := filepath.Join(jdir, ".tmp-batch-interrupted")
-		writeJSON(t, tmp, journalBatch{Version: journalVersion, Records: []journalRecord{rec}})
+		writeSegment(t, tmp, []journalRecord{rec}, "")
 
 		srv, err := Open(Config{Workers: 1, JournalDir: jdir})
 		if err != nil {
@@ -544,7 +749,7 @@ func TestJournalCrashBetweenBatchStages(t *testing.T) {
 		n := len(srv.jobs)
 		srv.mu.Unlock()
 		if n != 0 {
-			t.Fatalf("unacknowledged batch resurrected %d jobs", n)
+			t.Fatalf("unacknowledged commit resurrected %d jobs", n)
 		}
 		for _, f := range []string{tmp, rec.Uploads[0].Path} {
 			if _, err := os.Stat(f); !os.IsNotExist(err) {
@@ -554,17 +759,16 @@ func TestJournalCrashBetweenBatchStages(t *testing.T) {
 	})
 
 	t.Run("killed-after-rename", func(t *testing.T) {
-		// The batch file landed (a lost directory sync leaves this same
-		// state when the entry is still visible): both acknowledged jobs
-		// re-run to reports byte-identical to the uninterrupted baseline,
-		// and the batch file itself does not outlive the recovery.
+		// The segment landed (a lost directory sync leaves this same state
+		// when the entry is still visible): both acknowledged jobs re-run
+		// to reports byte-identical to the uninterrupted baseline, and
+		// the segment is unlinked once both settle.
 		jdir := mkJournalDir(t)
 		recs := []journalRecord{
 			stage(t, jdir, "diffaudit-child-1.har", "job-1"),
 			stage(t, jdir, "diffaudit-child-2.har", "job-2"),
 		}
-		batchFile := filepath.Join(jdir, "batch-000001.batch")
-		writeJSON(t, batchFile, journalBatch{Version: journalVersion, Records: recs})
+		writeSegment(t, filepath.Join(jdir, "seg-000001.jsonl"), recs, "")
 
 		srv, err := Open(Config{Workers: 1, JournalDir: jdir})
 		if err != nil {
@@ -586,27 +790,22 @@ func TestJournalCrashBetweenBatchStages(t *testing.T) {
 				t.Fatalf("recovered %s report differs from the uninterrupted baseline", id)
 			}
 		}
-		if _, err := os.Stat(batchFile); !os.IsNotExist(err) {
-			t.Errorf("batch file survived recovery (err=%v)", err)
-		}
+		waitJournalDrained(t, jdir)
 	})
 
 	t.Run("tombstoned-entry-stays-dead", func(t *testing.T) {
-		// One batch member finished (its staging was cleaned and its ID
-		// appended to the .rm sidecar) before the crash; the other was
-		// still in flight. Recovery must re-run only the live member —
+		// One segment member finished (its staging was cleaned and its
+		// tombstone appended) before the crash; the other was still in
+		// flight. Recovery must re-run only the live member —
 		// resurrecting the tombstoned one would surface a completed job
-		// as a phantom "staged capture missing" failure — and neither the
-		// batch file nor its sidecar may outlive the recovery.
+		// as a phantom "staged capture missing" failure — and the
+		// segment must not outlive the live member.
 		jdir := mkJournalDir(t)
 		live := stage(t, jdir, "diffaudit-child-3.har", "job-3")
 		settled := live
 		settled.ID = "job-8"
 		settled.Uploads = []journalUpload{{Path: filepath.Join(jdir, "staging", "cleaned-up.har"), HAR: true, Persona: "child"}}
-		writeJSON(t, filepath.Join(jdir, "batch-000001.batch"), journalBatch{Version: journalVersion, Records: []journalRecord{live, settled}})
-		if err := os.WriteFile(filepath.Join(jdir, "batch-000001.rm"), []byte("job-8\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeSegment(t, filepath.Join(jdir, "seg-000001.jsonl"), []journalRecord{live, settled}, "{\"removed\":\"job-8\"}\n")
 
 		srv, err := Open(Config{Workers: 1, JournalDir: jdir})
 		if err != nil {
@@ -616,7 +815,7 @@ func TestJournalCrashBetweenBatchStages(t *testing.T) {
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
 		if done := wait(t, ts, "job-3"); done.State != JobDone {
-			t.Fatalf("live batch member job-3 = %+v", done)
+			t.Fatalf("live segment member job-3 = %+v", done)
 		}
 		srv.mu.Lock()
 		_, resurrected := srv.jobs["job-8"]
@@ -624,38 +823,34 @@ func TestJournalCrashBetweenBatchStages(t *testing.T) {
 		if resurrected {
 			t.Fatal("tombstoned job-8 resurrected as a job")
 		}
-		if leftovers, _ := filepath.Glob(filepath.Join(jdir, "batch-*")); len(leftovers) != 0 {
-			t.Errorf("batch file or sidecar survived recovery: %v", leftovers)
-		}
+		waitJournalDrained(t, jdir)
 	})
 
-	t.Run("per-job-record-supersedes-batch-entry", func(t *testing.T) {
-		// After the batch, the job's state moved on and wrote a per-job
-		// record; the crash left both. The batch entry points at a capture
-		// that no longer exists — replaying it would fail the job — so
-		// recovery must prefer the newer per-job record, which points at
-		// the real one.
+	t.Run("torn-tombstone-tail", func(t *testing.T) {
+		// A crash tore a tombstone append. The torn line is skipped, so
+		// its job re-runs (idempotent), and recovery ends the tail so
+		// the next tombstone still lands on a line of its own.
 		jdir := mkJournalDir(t)
-		real := stage(t, jdir, "diffaudit-child-7.har", "job-7")
-		staleEntry := real
-		staleEntry.Uploads = []journalUpload{{Path: filepath.Join(jdir, "staging", "long-gone.har"), HAR: true, Persona: "child"}}
-		writeJSON(t, filepath.Join(jdir, "batch-000001.batch"), journalBatch{Version: journalVersion, Records: []journalRecord{staleEntry}})
-		writeJSON(t, filepath.Join(jdir, "job-7.job"), real)
-
-		srv, err := Open(Config{Workers: 1, JournalDir: jdir})
+		path := filepath.Join(jdir, "seg-000001.jsonl")
+		recs := []journalRecord{
+			stage(t, jdir, "diffaudit-child-1.har", "job-1"),
+			stage(t, jdir, "diffaudit-child-2.har", "job-2"),
+		}
+		writeSegment(t, path, recs, "{\"removed\":\"jo")
+		j, err := openJournal(jdir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer srv.Close()
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
-		done := wait(t, ts, "job-7")
-		if done.State != JobDone {
-			t.Fatalf("job-7 = %+v: the stale batch entry won over the per-job record", done)
+		jobs, err := j.recoverJobs()
+		if err != nil {
+			t.Fatal(err)
 		}
-		code, got := getBody(t, ts, "/jobs/job-7/report.json")
-		if code != http.StatusOK || !bytes.Equal(got, want) {
-			t.Fatalf("superseded recovery report differs from baseline (code %d)", code)
+		if len(jobs) != 2 || jobs[0].State != JobQueued || jobs[1].State != JobQueued {
+			t.Fatalf("recovered %d jobs, want job-1 and job-2 queued", len(jobs))
+		}
+		j.remove("job-1")
+		if _, live := readSegment(t, path); len(live) != 1 || live[0].ID != "job-2" {
+			t.Fatalf("after remove(job-1) the segment folds to %+v, want only job-2", live)
 		}
 	})
 }

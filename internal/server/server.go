@@ -112,21 +112,15 @@ type Config struct {
 	// per-job and results stay deterministic.
 	NewPipeline func() *core.Pipeline
 	// JournalDir enables the crash-safe job journal: accepted uploads are
-	// staged under <JournalDir>/staging and journaled before they are
-	// queued, and Open re-enqueues interrupted jobs from the journal after
-	// a crash. Empty disables journaling (jobs accepted before a crash are
-	// lost, the pre-journal behavior). Point it at the same volume as the
-	// snapshot store (serve -data-dir does this) so a job and its eventual
-	// snapshot share durability.
+	// staged under <JournalDir>/staging, and their records land in
+	// group-committed seg-<seq>.jsonl segment files before the 202 is
+	// sent. Open re-enqueues interrupted jobs from the segments after a
+	// crash. The directory only ever holds segments, staging/ and
+	// transient .tmp-* files. Empty disables journaling (jobs accepted
+	// before a crash are lost, the pre-journal behavior). Point it at the
+	// same volume as the snapshot store (serve -data-dir does this) so a
+	// job and its eventual snapshot share durability.
 	JournalDir string
-	// JournalBatch is the journal's group-commit window. Submit records
-	// are journaled by a committer that gathers everything arriving while
-	// a batch forms — the batch closes as soon as its queue drains or
-	// this window elapses, whichever comes first — and lands the whole
-	// batch with a single fsync+dirsync. An isolated submit commits
-	// immediately; a concurrent burst shares one sync. 0 takes the 2ms
-	// default; only meaningful with JournalDir set.
-	JournalBatch time.Duration
 	// JobTimeout bounds one audit job's run time (0 = unlimited). A job
 	// that exceeds it is marked with the "timeout" state and its worker
 	// moves on at the next pipeline batch boundary — a pathological
@@ -268,8 +262,9 @@ func New(cfg Config) *Server {
 // first when Config.JournalDir is set: surviving journal records are
 // re-enqueued ahead of new submissions (in original submission order),
 // crash leftovers in the journal and staging directories are deleted, and
-// only then does the worker pool start. The only error source is journal
-// directory creation.
+// only then does the worker pool start. It fails only when the journal
+// directory cannot be created or read, or still holds the pre-segment
+// layout of an older build.
 func Open(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
@@ -323,12 +318,14 @@ func Open(cfg Config) (*Server, error) {
 
 	var recovered []*Job
 	if cfg.JournalDir != "" {
-		j, err := openJournal(cfg.JournalDir, cfg.JournalBatch)
+		j, err := openJournal(cfg.JournalDir)
 		if err != nil {
 			return nil, err
 		}
+		if recovered, err = j.recoverJobs(); err != nil {
+			return nil, err
+		}
 		s.journal = j
-		recovered = j.recoverJobs()
 	}
 	// Recovered job IDs must also be fenced off, including the failed
 	// ones — reusing a crashed job's ID would alias two distinct uploads.
@@ -402,11 +399,6 @@ func (s *Server) run(job *Job) {
 	job.State = JobRunning
 	job.StartedAt = time.Now().UTC()
 	s.mu.Unlock()
-	// Best-effort state update: recovery re-runs a "running" record the
-	// same as a "queued" one, so losing this write costs nothing.
-	if s.journal != nil {
-		s.journal.write(recordOf(job, JobRunning))
-	}
 
 	// The deadline covers the audit only. Snapshot persistence runs under
 	// its own clock (the retry policy bounds it): abandoning a finished
@@ -478,7 +470,6 @@ func (s *Server) run(job *Job) {
 	// the store, failed/timeout are deterministic re-runs of the same
 	// inputs.
 	if s.journal != nil && state == JobDone && job.SnapshotError != "" && s.cfg.Store != nil {
-		s.journal.write(recordOf(job, JobQueued))
 		return
 	}
 	if s.journal != nil {
@@ -689,7 +680,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// cannot promise to keep. (The minted ID is abandoned on failure — ID
 	// gaps are harmless, reuse is not.)
 	if s.journal != nil {
-		if err := s.retry(r.Context(), func() error { return s.journal.append(recordOf(job, JobQueued)) }); err != nil {
+		if err := s.retry(r.Context(), func() error { return s.journal.append(recordOf(job)) }); err != nil {
 			apiError(w, http.StatusInternalServerError, codeInternal, "journaling job: %v", err)
 			return
 		}
@@ -1427,7 +1418,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		// operator graphs to see overload coming.
 		"queue_depth":    queued,
 		"queue_capacity": s.cfg.QueueDepth,
-		"queued":         queued,
 		"workers":        s.cfg.Workers,
 		"workers_busy":   busy,
 		"jobs_inflight":  queued + busy,
